@@ -8,7 +8,7 @@ mod segment_msg;
 pub mod strategies;
 mod two_cycle;
 
-pub use committee::{committee, in_committee, CommitteeDownload, VoteBatch};
+pub use committee::{committee, in_committee, memberships, CommitteeDownload, VoteBatch};
 pub use decision_tree::DecisionTree;
 pub use frequent::FrequencyTable;
 pub use multi_cycle::{MultiCycleDownload, MultiCyclePlan};

@@ -27,8 +27,8 @@ mod naive;
 
 pub use balanced::{BalancedDownload, Chunk};
 pub use byz::{
-    committee, in_committee, CommitteeDownload, DecisionTree, FrequencyTable, MultiCycleDownload,
-    MultiCyclePlan, SegmentMsg, TwoCycleDownload, TwoCyclePlan, VoteBatch,
+    committee, in_committee, memberships, CommitteeDownload, DecisionTree, FrequencyTable,
+    MultiCycleDownload, MultiCyclePlan, SegmentMsg, TwoCycleDownload, TwoCyclePlan, VoteBatch,
 };
 pub use crash::{owner, CrashMultiDownload, MultiCrashMsg, SingleCrashDownload, SingleCrashMsg};
 pub use envelope::{CostEnvelope, EnvelopeViolation};

@@ -8,7 +8,7 @@
 //! random hash seed sat one iteration away from replay divergence.
 
 use dr_core::{BitArray, Context, PeerId, Protocol, SegmentId};
-use dr_protocols::byz::{in_committee, FrequencyTable, VoteBatch};
+use dr_protocols::byz::{memberships, FrequencyTable, VoteBatch};
 use dr_protocols::{CommitteeDownload, TwoCycleDownload};
 use dr_sim::SimBuilder;
 use proptest::prelude::*;
@@ -57,8 +57,7 @@ impl<M: dr_core::ProtocolMessage> Context<M> for FixedCtx {
 /// A truthful vote batch for `sender`: its committee bits in ascending
 /// index order, read straight from the input.
 fn truthful_batch(sender: PeerId, input: &BitArray, k: usize, c: usize) -> VoteBatch {
-    let values: Vec<bool> = (0..input.len())
-        .filter(|&j| in_committee(j, k, c, sender))
+    let values: Vec<bool> = memberships(sender, input.len(), k, c)
         .map(|j| input.get(j))
         .collect();
     VoteBatch {

@@ -11,6 +11,12 @@
 //! here as a fingerprint mismatch against pre-rewrite reality rather
 //! than against the rewrite itself.
 //!
+//! The `committee_liar` and `committee_equivocator` rows were recorded
+//! the same way, on the tree before the committee tally moved to flat
+//! counters and per-sender dedupe bitsets: their Byzantine members send
+//! repeated and contradictory vote batches, so they pin the tally's
+//! distinct-voter semantics, which silent members never reach.
+//!
 //! To regenerate after an *intentional* semantic change (never for a
 //! perf-only change):
 //!
@@ -18,8 +24,12 @@
 //! cargo test -p dr-protocols --test golden_fingerprints -- --ignored print_goldens --nocapture
 //! ```
 
-use dr_core::{FaultModel, ModelParams, PeerId, ProtocolMessage, SegmentId, Segmentation};
+use dr_core::{
+    BitArray, Context, FaultModel, ModelParams, PeerId, Protocol, ProtocolMessage, SegmentId,
+    Segmentation,
+};
 use dr_protocols::byz::strategies::{CollusionGroup, Equivocator, RandomNoise};
+use dr_protocols::byz::{memberships, VoteBatch};
 use dr_protocols::{
     CommitteeDownload, CrashMultiDownload, MultiCycleDownload, SingleCrashDownload,
     TwoCycleDownload, TwoCyclePlan,
@@ -120,6 +130,64 @@ fn run_committee(seed: u64, shards: usize) -> RunReport {
     verified(builder.build())
 }
 
+/// A Byzantine committee member that broadcasts one vote batch per
+/// entry of `script`: the complement of the truth on every bit it sits
+/// on when the entry is `true`, the truth when it is `false`. Repeated
+/// and contradictory batches exercise the tally's per-(bit, value)
+/// distinct-voter dedupe, which silent members never reach.
+struct ScriptedVoter {
+    n: usize,
+    k: usize,
+    c: usize,
+    script: &'static [bool],
+}
+
+impl Protocol for ScriptedVoter {
+    type Msg = VoteBatch;
+    fn on_start(&mut self, ctx: &mut dyn Context<VoteBatch>) {
+        let me = ctx.me();
+        let truth: Vec<bool> = memberships(me, self.n, self.k, self.c)
+            .map(|j| ctx.query(j))
+            .collect();
+        for &lie in self.script {
+            let votes: Vec<bool> = truth.iter().map(|&v| v != lie).collect();
+            ctx.broadcast(VoteBatch {
+                values: BitArray::from_bools(&votes),
+            });
+        }
+    }
+    fn on_message(&mut self, _from: PeerId, _msg: VoteBatch, _ctx: &mut dyn Context<VoteBatch>) {}
+    fn output(&self) -> Option<&BitArray> {
+        None
+    }
+}
+
+/// Committee with two scripted Byzantine members (peers 0 and 3).
+fn run_committee_scripted(seed: u64, shards: usize, scripts: [&'static [bool]; 2]) -> RunReport {
+    let (n, k, t) = (48, 7, 2);
+    let c = 2 * t + 1;
+    let mut builder = SimBuilder::new(byz_params(n, k, t))
+        .seed(seed)
+        .shards(shards)
+        .protocol(move |_| CommitteeDownload::new(n, k, t));
+    for (peer, script) in [PeerId(0), PeerId(3)].into_iter().zip(scripts) {
+        builder = builder.byzantine(peer, ScriptedVoter { n, k, c, script });
+    }
+    verified(builder.build())
+}
+
+/// Two lying members, each sending its lying batch twice: without the
+/// distinct-voter dedupe the 4 wrong votes per shared bit exceed `t`.
+fn run_committee_liar(seed: u64, shards: usize) -> RunReport {
+    run_committee_scripted(seed, shards, [&[true, true], &[true, true]])
+}
+
+/// Two equivocating members, each sending two contradictory batches
+/// (one lies first, the other tells the truth first).
+fn run_committee_equivocator(seed: u64, shards: usize) -> RunReport {
+    run_committee_scripted(seed, shards, [&[true, false], &[false, true]])
+}
+
 /// 2-cycle protocol in the sampled regime with a mixed Byzantine slate
 /// (equivocator, colluders, noise) targeting the chosen segmentation.
 fn run_two_cycle(seed: u64, shards: usize) -> RunReport {
@@ -177,6 +245,8 @@ fn cases() -> Vec<(&'static str, CaseRunner)> {
         ("committee", run_committee),
         ("two_cycle", run_two_cycle),
         ("multi_cycle", run_multi_cycle),
+        ("committee_liar", run_committee_liar),
+        ("committee_equivocator", run_committee_equivocator),
     ]
 }
 
@@ -376,6 +446,84 @@ const GOLDENS: &[(&str, u64, Golden)] = &[
             msgs: 25080,
             msg_bits: 17923840,
             events: 8456,
+            releases: 0,
+        },
+    ),
+    (
+        "committee_liar",
+        1,
+        Golden {
+            fingerprint: 0xea2db515faba3cda,
+            q: 35,
+            t_ticks: 1723,
+            msgs: 30,
+            msg_bits: 1026,
+            events: 59,
+            releases: 0,
+        },
+    ),
+    (
+        "committee_liar",
+        42,
+        Golden {
+            fingerprint: 0xf320e701664bbd13,
+            q: 35,
+            t_ticks: 1509,
+            msgs: 30,
+            msg_bits: 1026,
+            events: 48,
+            releases: 0,
+        },
+    ),
+    (
+        "committee_liar",
+        53469,
+        Golden {
+            fingerprint: 0xc9c5c994a034f299,
+            q: 35,
+            t_ticks: 1774,
+            msgs: 30,
+            msg_bits: 1026,
+            events: 50,
+            releases: 0,
+        },
+    ),
+    (
+        "committee_equivocator",
+        1,
+        Golden {
+            fingerprint: 0x61fcb7cd8711019d,
+            q: 35,
+            t_ticks: 1125,
+            msgs: 30,
+            msg_bits: 1026,
+            events: 40,
+            releases: 0,
+        },
+    ),
+    (
+        "committee_equivocator",
+        42,
+        Golden {
+            fingerprint: 0x8d0a8e4938153f91,
+            q: 35,
+            t_ticks: 1309,
+            msgs: 30,
+            msg_bits: 1026,
+            events: 42,
+            releases: 0,
+        },
+    ),
+    (
+        "committee_equivocator",
+        53469,
+        Golden {
+            fingerprint: 0x2bb9e7b7818591e7,
+            q: 35,
+            t_ticks: 1263,
+            msgs: 30,
+            msg_bits: 1026,
+            events: 39,
             releases: 0,
         },
     ),

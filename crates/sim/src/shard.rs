@@ -369,6 +369,7 @@ impl<M> EventPump<M> {
 
     /// Payloads currently alive across all slabs (queued + held +
     /// pre-start buffered).
+    #[cfg(any(debug_assertions, test))]
     pub(crate) fn live_payloads(&self) -> usize {
         self.live
     }

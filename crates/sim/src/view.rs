@@ -73,7 +73,9 @@ pub(crate) struct LaneFlags {
 }
 
 impl LaneFlags {
-    /// Whether the authoritative status and this mirror agree.
+    /// Whether the authoritative status and this mirror agree (only the
+    /// debug-build lane audit asks).
+    #[cfg(debug_assertions)]
     pub(crate) fn mirrors(&self, status: &PeerStatus) -> bool {
         self.started == status.started
             && self.terminated == status.terminated
