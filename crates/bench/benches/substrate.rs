@@ -37,7 +37,7 @@ fn bench_frequency_table(c: &mut Criterion) {
             .collect();
         group.bench_with_input(BenchmarkId::from_parameter(senders), &strings, |b, s| {
             b.iter(|| {
-                let mut table = FrequencyTable::new();
+                let mut table = FrequencyTable::new(senders, 8);
                 for (i, string) in s.iter().enumerate() {
                     table.record(PeerId(i), SegmentId(i % 8), string.clone());
                 }

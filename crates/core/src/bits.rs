@@ -37,6 +37,47 @@ fn read_word(words: &[u64], pos: usize) -> u64 {
     }
 }
 
+/// One word's share of a bit run: bits `shift..shift + take` of word `w`
+/// hold run bits `done..done + take`.
+#[derive(Clone, Copy)]
+struct Window {
+    w: usize,
+    shift: usize,
+    take: usize,
+    done: usize,
+}
+
+impl Window {
+    /// The window's bits within word `w`.
+    #[inline]
+    fn mask(self) -> u64 {
+        low_mask(self.take) << self.shift
+    }
+}
+
+/// Splits the run of `len` bits starting at bit `start` into per-word
+/// windows, in order.
+#[inline]
+fn windows(start: usize, len: usize) -> impl Iterator<Item = Window> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        if done >= len {
+            return None;
+        }
+        let pos = start + done;
+        let (w, shift) = (pos / 64, pos % 64);
+        let take = (64 - shift).min(len - done);
+        let window = Window {
+            w,
+            shift,
+            take,
+            done,
+        };
+        done += take;
+        Some(window)
+    })
+}
+
 /// A fixed-length packed array of bits.
 ///
 /// Unused high bits of the last word are kept zeroed so that `Eq` and `Hash`
@@ -297,16 +338,11 @@ impl BitArray {
             return;
         }
         let words = Arc::make_mut(&mut self.words);
-        let mut done = 0;
-        while done < len {
-            let pos = dst_offset + done;
-            let (w, bit) = (pos / 64, pos % 64);
-            // Fill the destination word from `bit` upward (at most 64 - bit
-            // bits), so every subsequent iteration is destination-aligned.
-            let take = (64 - bit).min(len - done);
-            let chunk = read_word(&src.words, src_range.start + done) & low_mask(take);
-            words[w] = (words[w] & !(low_mask(take) << bit)) | (chunk << bit);
-            done += take;
+        // Destination-aligned: each window fills one destination word from
+        // its start bit upward.
+        for r in windows(dst_offset, len) {
+            let chunk = read_word(&src.words, src_range.start + r.done) & low_mask(r.take);
+            words[r.w] = (words[r.w] & !r.mask()) | (chunk << r.shift);
         }
     }
 
@@ -526,7 +562,8 @@ impl PartialArray {
     /// bits already known keep their first value (an invariant of the
     /// representation is that `values` is zero wherever `known` is zero,
     /// so newly-learned bits can be OR-ed in without a read-modify-write
-    /// per bit).
+    /// per bit). Buffers are un-shared once, at the first word with fresh
+    /// bits, so a run that teaches nothing leaves shared buffers shared.
     ///
     /// # Panics
     ///
@@ -539,36 +576,42 @@ impl PartialArray {
             offset + len,
             self.len()
         );
-        let mut done = 0;
-        while done < len {
-            let pos = offset + done;
-            let (w, bit) = (pos / 64, pos % 64);
-            let take = (64 - bit).min(len - done);
-            let window = low_mask(take) << bit;
-            let fresh = window & !self.known.words[w];
+        let mut runs = windows(offset, len);
+        let Some(first) = runs.find(|r| r.mask() & !self.known.words[r.w] != 0) else {
+            return;
+        };
+        let (known, values) = (self.known.words_mut(), self.values.words_mut());
+        for r in std::iter::once(first).chain(runs) {
+            let fresh = r.mask() & !known[r.w];
             if fresh != 0 {
-                let incoming = (read_word(&bits.words, done) & low_mask(take)) << bit;
-                self.values.words_mut()[w] |= incoming & fresh;
-                self.known.words_mut()[w] |= fresh;
+                let incoming = (read_word(&bits.words, r.done) & low_mask(r.take)) << r.shift;
+                values[r.w] |= incoming & fresh;
+                known[r.w] |= fresh;
                 self.unknown -= fresh.count_ones() as usize;
             }
-            done += take;
         }
     }
 
     /// Copies every known bit of `other` into `self`, one word at a time.
-    /// Bits known in both keep `self`'s value.
+    /// Bits known in both keep `self`'s value. Like
+    /// [`learn_slice`](PartialArray::learn_slice), buffers are un-shared
+    /// only once `other` has a bit `self` lacks.
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ.
     pub fn merge(&mut self, other: &PartialArray) {
         assert_eq!(self.len(), other.len(), "length mismatch");
-        for w in 0..self.known.words.len() {
-            let fresh = other.known.words[w] & !self.known.words[w];
+        let theirs = &other.known.words;
+        let Some(first) = (0..theirs.len()).find(|&w| theirs[w] & !self.known.words[w] != 0) else {
+            return;
+        };
+        let (known, values) = (self.known.words_mut(), self.values.words_mut());
+        for w in first..known.len() {
+            let fresh = theirs[w] & !known[w];
             if fresh != 0 {
-                self.values.words_mut()[w] |= other.values.words[w] & fresh;
-                self.known.words_mut()[w] |= fresh;
+                values[w] |= other.values.words[w] & fresh;
+                known[w] |= fresh;
                 self.unknown -= fresh.count_ones() as usize;
             }
         }
@@ -612,19 +655,10 @@ impl PartialArray {
             "known_slice {range:?} out of range {}",
             self.len()
         );
-        let len = range.len();
-        let mut done = 0;
-        while done < len {
-            let pos = range.start + done;
-            let (w, bit) = (pos / 64, pos % 64);
-            let take = (64 - bit).min(len - done);
-            let window = low_mask(take) << bit;
-            if self.known.words[w] & window != window {
-                return None;
-            }
-            done += take;
-        }
-        Some(self.values.slice(range))
+        let known = &self.known.words;
+        windows(range.start, range.len())
+            .all(|r| known[r.w] & r.mask() == r.mask())
+            .then(|| self.values.slice(range))
     }
 
     /// Converts into the completed array.
@@ -663,6 +697,7 @@ impl fmt::Debug for PartialArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -904,5 +939,101 @@ mod tests {
         assert!(p.is_complete());
         assert_eq!(p.unknown_iter().count(), 0);
         assert_eq!(BitArray::zeros(0).word_count(), 0);
+    }
+
+    #[test]
+    fn calls_that_teach_nothing_keep_buffers_shared() {
+        let mut p = PartialArray::new(300);
+        p.learn_slice(0, &BitArray::from_fn(300, |i| i % 3 == 0));
+        let snapshot = p.clone();
+        let mut q = PartialArray::new(300);
+        q.learn_slice(70, &BitArray::from_fn(100, |i| i % 2 == 0));
+
+        // Re-learning known bits, an empty run and merging a subset
+        // write nothing, so nothing is un-shared.
+        p.learn_slice(13, &BitArray::zeros(200));
+        p.learn_slice(300, &BitArray::zeros(0));
+        p.merge(&q);
+        p.merge(&PartialArray::new(300));
+        assert!(p.values.shares_buffer_with(&snapshot.values));
+        assert!(p.known.shares_buffer_with(&snapshot.known));
+        assert_eq!(p, snapshot);
+
+        // A fresh bit un-shares both buffers and leaves the snapshot alone.
+        let mut fresh = PartialArray::new(300);
+        let mut r = PartialArray::new(300);
+        r.learn(299, true);
+        fresh.merge(&r);
+        let shared = fresh.clone();
+        fresh.learn_slice(0, &BitArray::from_fn(1, |_| true));
+        assert!(!fresh.values.shares_buffer_with(&shared.values));
+        assert!(!fresh.known.shares_buffer_with(&shared.known));
+        assert_eq!(shared.get(0), None);
+        assert_eq!(fresh.get(0), Some(true));
+    }
+
+    /// A partial array with a random known set and random known values.
+    fn scattered(len: usize, seed: u64, density: f64) -> PartialArray {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut p = PartialArray::new(len);
+        for i in 0..len {
+            if rng.gen_bool(density) {
+                p.learn(i, rng.gen_bool(0.5));
+            }
+        }
+        p
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `learn_slice` at any (unaligned) offset and length equals the
+        /// per-bit `learn` loop, on fresh and on shared buffers, and
+        /// never changes a clone taken before the call.
+        #[test]
+        fn learn_slice_matches_per_bit_learn(
+            len in 0usize..400,
+            offset_frac in 0.0f64..1.0,
+            run_frac in 0.0f64..1.0,
+            density in 0.0f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let start = scattered(len, seed, density);
+            let offset = (offset_frac * len as f64) as usize;
+            let run = ((len - offset) as f64 * run_frac) as usize;
+            let bits = BitArray::random(run, &mut StdRng::seed_from_u64(!seed));
+            let mut fast = start.clone();
+            fast.learn_slice(offset, &bits);
+            let mut slow = start.clone();
+            for i in 0..run {
+                slow.learn(offset + i, bits.get(i));
+            }
+            prop_assert_eq!(&fast, &slow);
+            prop_assert_eq!(fast.unknown_count(), slow.unknown_count());
+            prop_assert_eq!(start, scattered(len, seed, density));
+        }
+
+        /// `merge` equals learning every known bit of `other` one by one.
+        #[test]
+        fn merge_matches_per_bit_learn(
+            len in 0usize..400,
+            density_a in 0.0f64..1.0,
+            density_b in 0.0f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let a = scattered(len, seed, density_a);
+            let b = scattered(len, !seed, density_b);
+            let mut fast = a.clone();
+            fast.merge(&b);
+            let mut slow = a.clone();
+            for i in 0..len {
+                if let Some(v) = b.get(i) {
+                    slow.learn(i, v);
+                }
+            }
+            prop_assert_eq!(&fast, &slow);
+            prop_assert_eq!(fast.unknown_count(), slow.unknown_count());
+            prop_assert_eq!(a, scattered(len, seed, density_a));
+        }
     }
 }

@@ -20,6 +20,7 @@
 use super::decision_tree::DecisionTree;
 use super::frequent::FrequencyTable;
 use super::segment_msg::SegmentMsg;
+use crate::peer_set::PeerSet;
 use dr_core::{BitArray, Context, PeerId, Protocol, SegmentId, Segmentation};
 use rand::Rng;
 
@@ -94,7 +95,7 @@ pub struct MultiCycleDownload {
     /// Current cycle (1-based); claims for cycle `c` live at index `c−1`.
     cycle: u32,
     tables: Vec<FrequencyTable>,
-    heard: Vec<Vec<bool>>,
+    heard: Vec<PeerSet>,
     my_pick: Vec<Option<SegmentId>>,
     my_value: Vec<Option<BitArray>>,
     out: Option<BitArray>,
@@ -120,7 +121,7 @@ impl MultiCycleDownload {
     pub fn with_plan(n: usize, k: usize, b: usize, plan: MultiCyclePlan) -> Self {
         assert!(k > 0, "need at least one peer");
         assert!(b < k, "fault budget must leave one nonfaulty peer");
-        let cycles = match plan {
+        let (p1, cycles) = match plan {
             MultiCyclePlan::Sampled {
                 initial_segments,
                 cycles,
@@ -129,9 +130,9 @@ impl MultiCycleDownload {
                 assert!(initial_segments.is_power_of_two() && initial_segments >= 2);
                 assert!(initial_segments <= n, "more segments than bits");
                 assert_eq!(cycles, initial_segments.trailing_zeros() + 1);
-                cycles as usize
+                (initial_segments, cycles as usize)
             }
-            MultiCyclePlan::Naive => 0,
+            MultiCyclePlan::Naive => (0, 0),
         };
         MultiCycleDownload {
             n,
@@ -139,8 +140,10 @@ impl MultiCycleDownload {
             b,
             plan,
             cycle: 1,
-            tables: (0..cycles).map(|_| FrequencyTable::new()).collect(),
-            heard: (0..cycles).map(|_| vec![false; k]).collect(),
+            tables: (0..cycles)
+                .map(|c| FrequencyTable::new(k, p1 >> c))
+                .collect(),
+            heard: vec![PeerSet::new(k); cycles],
             my_pick: vec![None; cycles],
             my_value: vec![None; cycles],
             out: None,
@@ -226,19 +229,12 @@ impl MultiCycleDownload {
         }
     }
 
-    fn heard_count(&self, cycle: u32) -> usize {
-        self.heard[cycle as usize - 1]
-            .iter()
-            .filter(|&&h| h)
-            .count()
-    }
-
     /// Advances through every cycle whose wait condition is satisfied.
     fn advance(&mut self, ctx: &mut dyn Context<SegmentMsg>) {
         let (_, _, cycles) = self.plan_parts();
         while self.out.is_none()
             && self.cycle < cycles
-            && self.heard_count(self.cycle) >= self.k - self.b
+            && self.heard[self.cycle as usize - 1].len() >= self.k - self.b
         {
             let next = self.cycle + 1;
             let seg_next = self.segmentation(next);
@@ -261,7 +257,7 @@ impl MultiCycleDownload {
                 self.out = Some(bits);
             } else {
                 self.tables[next as usize - 1].record(ctx.me(), pick, bits.clone());
-                self.heard[next as usize - 1][ctx.me().index()] = true;
+                self.heard[next as usize - 1].insert(ctx.me().index());
                 ctx.broadcast(SegmentMsg {
                     cycle: next,
                     segment: pick,
@@ -286,7 +282,7 @@ impl Protocol for MultiCycleDownload {
         self.my_pick[0] = Some(pick);
         self.my_value[0] = Some(bits.clone());
         self.tables[0].record(ctx.me(), pick, bits.clone());
-        self.heard[0][ctx.me().index()] = true;
+        self.heard[0].insert(ctx.me().index());
         ctx.broadcast(SegmentMsg {
             cycle: 1,
             segment: pick,
@@ -302,8 +298,7 @@ impl Protocol for MultiCycleDownload {
         let (_, _, cycles) = self.plan_parts();
         let c = msg.cycle as usize;
         if (1..cycles as usize).contains(&c) {
-            if !self.heard[c - 1][from.index()] {
-                self.heard[c - 1][from.index()] = true;
+            if self.heard[c - 1].insert(from.index()) {
                 let seg = self.segmentation(msg.cycle);
                 if msg.segment.index() < seg.count() && msg.bits.len() == seg.len_of(msg.segment) {
                     self.tables[c - 1].record(from, msg.segment, msg.bits);

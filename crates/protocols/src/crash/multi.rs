@@ -32,6 +32,7 @@
 //! long-response waits from the time complexity.
 
 use super::owner::owner;
+use crate::peer_set::PeerSet;
 use dr_core::collections::DetMap;
 use dr_core::{BitArray, Context, PartialArray, PeerId, Protocol, ProtocolMessage};
 
@@ -139,11 +140,11 @@ pub struct CrashMultiDownload {
     /// pruned with `retain`, which must visit phases deterministically.
     sets: DetMap<u32, Vec<Vec<u32>>>,
     /// Peers counted as heard-from this phase (self, vacuous, full answers).
-    correct: Vec<bool>,
+    correct: PeerSet,
     /// Missing peers computed on entering stage 3.
     missing: Vec<PeerId>,
     /// Stage-2 answer senders this phase (includes self).
-    resp2_senders: Vec<bool>,
+    resp2_senders: PeerSet,
     /// Deferred requests waiting for this peer to advance.
     pending: Vec<(PeerId, MultiCrashMsg)>,
     /// Termination threshold: remaining unknown bits a peer just queries.
@@ -187,9 +188,9 @@ impl CrashMultiDownload {
             phase: 0,
             stage: 1,
             sets: DetMap::new(),
-            correct: vec![false; k],
+            correct: PeerSet::new(k),
             missing: Vec::new(),
-            resp2_senders: vec![false; k],
+            resp2_senders: PeerSet::new(k),
             pending: Vec::new(),
             threshold: n.div_ceil(k),
             max_phases,
@@ -323,9 +324,9 @@ impl CrashMultiDownload {
             }
             self.phase += 1;
             self.stage = 1;
-            self.correct = vec![false; self.k];
+            self.correct = PeerSet::new(self.k);
             self.missing.clear();
-            self.resp2_senders = vec![false; self.k];
+            self.resp2_senders = PeerSet::new(self.k);
             // Drop set caches for phases nobody will ask about again
             // (keep a window for stragglers).
             let current = self.phase;
@@ -341,7 +342,7 @@ impl CrashMultiDownload {
                     self.acc.learn(j as usize, v);
                 }
             }
-            self.correct[me.index()] = true;
+            self.correct.insert(me.index());
             for w in 0..self.k {
                 if w == me.index() {
                     continue;
@@ -350,7 +351,7 @@ impl CrashMultiDownload {
                     ctx.send(PeerId(w), MultiCrashMsg::Request1 { phase: self.phase });
                 } else {
                     // Nothing wanted from w: vacuously heard.
-                    self.correct[w] = true;
+                    self.correct.insert(w);
                 }
             }
             self.stage = 2;
@@ -369,17 +370,14 @@ impl CrashMultiDownload {
         if self.stage != 2 || self.out.is_some() {
             return false;
         }
-        let heard = self.correct.iter().filter(|&&c| c).count();
+        let heard = self.correct.len();
         if heard < self.k - self.b {
             return false;
         }
         self.stage = 3;
         self.replay_pending(ctx);
         let phase = self.phase;
-        let unheard: Vec<PeerId> = (0..self.k)
-            .filter(|&w| !self.correct[w])
-            .map(PeerId)
-            .collect();
+        let unheard: Vec<PeerId> = self.correct.missing().map(PeerId).collect();
         let mut missing = Vec::new();
         for w in unheard {
             if self.lacks_bits_of(phase, w) {
@@ -399,7 +397,7 @@ impl CrashMultiDownload {
         // Our own answer is "me neither" for every missing peer — it
         // contributes nothing but counts as a response (self is a valid
         // responder in the k − b count).
-        self.resp2_senders[ctx.me().index()] = true;
+        self.resp2_senders.insert(ctx.me().index());
         self.try_finish_stage3(ctx)
     }
 
@@ -409,7 +407,7 @@ impl CrashMultiDownload {
         if self.stage != 3 || self.out.is_some() {
             return false;
         }
-        let responses = self.resp2_senders.iter().filter(|&&r| r).count();
+        let responses = self.resp2_senders.len();
         let done = if responses >= self.k - self.b {
             true
         } else if self.early_release {
@@ -545,7 +543,7 @@ impl Protocol for CrashMultiDownload {
                     // sender heard; answers for earlier phases only
                     // contribute their bits (useful to early release).
                     if phase == self.phase {
-                        self.correct[from.index()] = true;
+                        self.correct.insert(from.index());
                     }
                 }
                 self.pump(ctx);
@@ -557,7 +555,7 @@ impl Protocol for CrashMultiDownload {
                     }
                 }
                 if phase == self.phase && self.stage == 3 {
-                    self.resp2_senders[from.index()] = true;
+                    self.resp2_senders.insert(from.index());
                 }
                 self.pump(ctx);
             }

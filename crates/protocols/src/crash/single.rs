@@ -21,6 +21,7 @@
 //! happens by the end of phase 2's stage 2). `Q ≤ ⌈n/k⌉ + ⌈n/(k(k−1))⌉`,
 //! i.e. `O(n/k)`.
 
+use crate::peer_set::PeerSet;
 use dr_core::{BitArray, Context, PartialArray, PeerId, Protocol, ProtocolMessage};
 
 /// Messages of Algorithm 1. Bit payloads are packed bitmaps over
@@ -124,13 +125,13 @@ pub struct SingleCrashDownload {
     out: Option<BitArray>,
     step: Step,
     /// Peers whose phase-1 share arrived (includes self).
-    p1_heard: Vec<bool>,
+    p1_heard: PeerSet,
     /// Phase-1 shares by owner (packed values), kept to answer `WhoHas`.
     p1_shares: Vec<Option<BitArray>>,
     /// The missing peer this peer asked about in stage 2.
     missing: Option<PeerId>,
     /// Peers whose stage-2 answer arrived (includes self).
-    answered: Vec<bool>,
+    answered: PeerSet,
     /// Whether any stage-2 answer carried the missing peer's bits.
     got_bits: bool,
     /// Buffered `WhoHas` questions to answer after our own stage-2 wait.
@@ -153,10 +154,10 @@ impl SingleCrashDownload {
             acc: PartialArray::new(n),
             out: None,
             step: Step::P1WaitShares,
-            p1_heard: vec![false; k],
+            p1_heard: PeerSet::new(k),
             p1_shares: vec![None; k],
             missing: None,
-            answered: vec![false; k],
+            answered: PeerSet::new(k),
             got_bits: false,
             pending_questions: Vec::new(),
         }
@@ -255,7 +256,7 @@ impl SingleCrashDownload {
         if self.step != Step::P1WaitShares {
             return;
         }
-        let heard = self.p1_heard.iter().filter(|&&h| h).count();
+        let heard = self.p1_heard.len();
         if heard < self.k - 1 {
             return;
         }
@@ -268,8 +269,8 @@ impl SingleCrashDownload {
         } else {
             let m = PeerId(
                 self.p1_heard
-                    .iter()
-                    .position(|&h| !h)
+                    .missing()
+                    .next()
                     .expect("exactly one peer missing"),
             );
             self.missing = Some(m);
@@ -277,7 +278,7 @@ impl SingleCrashDownload {
             self.flush_pending_questions(ctx);
             ctx.broadcast(SingleCrashMsg::WhoHas { missing: m });
             // Our own answer about m is "me neither" by definition.
-            self.answered[ctx.me().index()] = true;
+            self.answered.insert(ctx.me().index());
             self.try_advance_from_wait_answers(ctx);
         }
     }
@@ -287,7 +288,7 @@ impl SingleCrashDownload {
         if self.step != Step::P1WaitAnswers {
             return;
         }
-        let count = self.answered.iter().filter(|&&a| a).count();
+        let count = self.answered.len();
         if count < self.k - 1 {
             return;
         }
@@ -344,7 +345,7 @@ impl Protocol for SingleCrashDownload {
             self.acc.learn(j, v);
         }
         let values = self.pack(&mine);
-        self.p1_heard[self.me] = true;
+        self.p1_heard.insert(self.me);
         self.p1_shares[self.me] = Some(values.clone());
         ctx.broadcast(SingleCrashMsg::Share1 { values });
         self.try_advance_from_wait_shares(ctx);
@@ -363,7 +364,7 @@ impl Protocol for SingleCrashDownload {
             SingleCrashMsg::Share1 { values } => {
                 let set = self.phase1_share(from.index());
                 if self.learn_packed(&set, &values) {
-                    self.p1_heard[from.index()] = true;
+                    self.p1_heard.insert(from.index());
                     self.p1_shares[from.index()] = Some(values);
                     // A late phase-1 share from our missing peer also
                     // resolves stage 3.
@@ -398,7 +399,7 @@ impl Protocol for SingleCrashDownload {
                 if missing.index() < self.k {
                     let set = self.phase1_share(missing.index());
                     if self.learn_packed(&set, &values) && self.missing == Some(missing) {
-                        self.answered[from.index()] = true;
+                        self.answered.insert(from.index());
                         self.got_bits = true;
                     }
                 }
@@ -408,7 +409,7 @@ impl Protocol for SingleCrashDownload {
             }
             SingleCrashMsg::MeNeither { missing } => {
                 if self.missing == Some(missing) {
-                    self.answered[from.index()] = true;
+                    self.answered.insert(from.index());
                 }
                 self.try_advance_from_wait_answers(ctx);
             }

@@ -24,6 +24,7 @@ pub mod crash;
 mod envelope;
 pub mod lower_bound;
 mod naive;
+mod peer_set;
 
 pub use balanced::{BalancedDownload, Chunk};
 pub use byz::{

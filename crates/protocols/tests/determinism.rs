@@ -91,11 +91,11 @@ proptest! {
             unique.push((sender, segment, string));
         }
 
-        let mut forward = FrequencyTable::new();
+        let mut forward = FrequencyTable::new(12, 6);
         for (p, s, b) in &unique {
             forward.record(*p, *s, b.clone());
         }
-        let mut permuted = FrequencyTable::new();
+        let mut permuted = FrequencyTable::new(12, 6);
         for (p, s, b) in shuffled(&unique, perm_seed) {
             permuted.record(p, s, b);
         }

@@ -222,7 +222,7 @@ proptest! {
     ) {
         // Each distinct sender contributes at most one claim; at most
         // senders/τ strings can become τ-frequent.
-        let mut table = FrequencyTable::new();
+        let mut table = FrequencyTable::new(40, 1);
         let mut senders = std::collections::HashSet::new();
         for (i, (sender, bit)) in claims.iter().enumerate() {
             let counted = table.record(
